@@ -120,7 +120,7 @@ def build_qsearch_ansatz(
 #: The Figure 5/6/7 benchmark suite: name -> (qudits, depth, radix).
 #: "Deep" is 8 entangling blocks (57 parameters) — near the edge of
 #: what the paper's deliberately naive LM converges on from random
-#: starts (see Discussion VI-A and EXPERIMENTS.md).
+#: starts (see the paper's Discussion, section VI-A).
 FIG5_BENCHMARKS: dict[str, tuple[int, int, int]] = {
     "2-qubit shallow": (2, 2, 2),
     "3-qubit shallow": (3, 4, 2),

@@ -52,13 +52,11 @@ class EnginePool:
         cache: ExpressionCache | None = None,
         success_threshold: float = SUCCESS_THRESHOLD,
         lm_options: LMOptions | None = None,
-        backend: str = "auto",
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.strategy = strategy
-        self.backend = backend
         self.precision = precision
         self.cache = cache
         self.success_threshold = success_threshold
@@ -147,7 +145,6 @@ class EnginePool:
                     success_threshold=self.success_threshold,
                     lm_options=self.lm_options,
                     strategy=self.strategy,
-                    backend=self.backend,
                     contract=contract,
                 )
             telemetry.metrics().histogram("engine_pool.aot_seconds").observe(

@@ -201,10 +201,10 @@ class CompiledExpression:
         """The simplified ``(unitary_entries, grad_entries)`` triples.
 
         These are the exact post-simplification expression trees the
-        writers were generated from; the fused program backend re-emits
-        them inline (via :func:`~repro.jit.codegen.generate_inline_write`)
-        so a megakernel computes bit-identical values to the standalone
-        writers.
+        writers were generated from; the scalar TNVM's megakernel
+        re-emits them inline (via
+        :func:`~repro.jit.codegen.generate_inline_write`) so it computes
+        bit-identical values to the standalone writers.
         """
         return self._entries[0], self._entries[1]
 

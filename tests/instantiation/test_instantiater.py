@@ -129,11 +129,13 @@ class TestAutoStrategy:
         circ = build_qsearch_ansatz(2, 2, 2)
         engine = Instantiater(circ, strategy="auto")
         target, p_true = target_from_ansatz(circ, 31)
+        assert engine._vm is None  # auto engines build the scalar VM lazily
         result = engine.instantiate(
             target, starts=AUTO_BATCH_MIN_STARTS, rng=0, x0=p_true
         )
         assert result.success
         assert engine._batched_engine is not None
+        assert engine._vm is None  # ...and the batched path never needs it
 
     def test_zero_param_circuit_stays_sequential(self):
         # A fully constant template has nothing to batch over.

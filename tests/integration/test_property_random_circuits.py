@@ -4,15 +4,23 @@ The central invariant of the reproduction: for *any* circuit, the
 AOT-compiled TNVM (tensor networks, fusion, constant hoisting, JIT'd
 expressions, forward-mode AD) computes exactly the same unitary and
 gradient as the straightforward dense evaluator of the baseline
-framework.
+framework.  :class:`TestEngineMatrixOracle` holds every engine
+configuration to that oracle: both VM kinds (the scalar fused
+megakernel and the batched grouped closures), full-unitary and
+column contracts, both precisions, qubits and qutrits.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baseline import build_qsearch_ansatz_baseline
 from repro.baseline.evaluator import DenseEvaluator
-from repro.tnvm import TNVM, Differentiation
+from repro.circuit import fig5_circuit
+from repro.circuit.builders import FIG5_BENCHMARKS
+from repro.tensornet import OutputContract
+from repro.tnvm import TNVM, BatchedTNVM, Differentiation
 
 from ..conftest import build_random_circuit_pair
 
@@ -69,3 +77,63 @@ class TestPipelineEquivalence:
         assert np.allclose(
             u64.evaluate(params), u32.evaluate(params), atol=1e-4
         )
+
+
+#: oracle tolerance per precision, on values and gradients alike
+ORACLE_ATOL = {"f64": 1e-9, "f32": 1e-4}
+ENGINE_MATRIX = [
+    (kind, contract, precision)
+    for kind in ("scalar", "batched")
+    for contract in ("full", "column0")
+    for precision in ("f64", "f32")
+]
+MATRIX_IDS = ["-".join(cfg) for cfg in ENGINE_MATRIX]
+
+
+def _outputs(kind, program, precision, rows):
+    """Per-row ``(value, gradient)`` pairs from one VM configuration."""
+    if kind == "scalar":
+        vm = TNVM(program, precision=precision)
+        return [tuple(map(np.copy, vm.evaluate_with_grad(r))) for r in rows]
+    vm = BatchedTNVM(program, batch=len(rows), precision=precision)
+    values, grads = vm.evaluate_with_grad(rows)
+    return list(zip(values, grads))
+
+
+def _check_against_oracle(circ, base, config, seed):
+    kind, contract, precision = config
+    program = circ.compile(
+        contract=OutputContract.column(0) if contract == "column0" else None
+    )
+    rows = np.random.default_rng(seed).uniform(
+        -np.pi, np.pi, (3, circ.num_params)
+    )
+    oracle = DenseEvaluator(base)
+    atol = ORACLE_ATOL[precision]
+    for row, (value, grad) in zip(
+        rows, _outputs(kind, program, precision, rows)
+    ):
+        du, dg = oracle.get_unitary_and_grad(row)
+        if contract == "column0":
+            du, dg = du[:, 0], dg[:, :, 0]
+        np.testing.assert_allclose(value, du, atol=atol, rtol=0)
+        np.testing.assert_allclose(grad, dg, atol=atol, rtol=0)
+
+
+class TestEngineMatrixOracle:
+    @pytest.mark.parametrize("config", ENGINE_MATRIX, ids=MATRIX_IDS)
+    @given(spec=circuit_specs())
+    @settings(max_examples=4, deadline=None)
+    def test_random_circuits(self, config, spec):
+        seed, num_qudits, num_ops = spec
+        circ, base, _ = build_random_circuit_pair(
+            seed, num_qudits=num_qudits, num_ops=num_ops
+        )
+        _check_against_oracle(circ, base, config, seed + 3)
+
+    @pytest.mark.parametrize("config", ENGINE_MATRIX, ids=MATRIX_IDS)
+    @pytest.mark.parametrize("name", ["2-qutrit shallow", "3-qutrit shallow"])
+    def test_qutrit_fig5_templates(self, config, name):
+        num_qudits, depth, radix = FIG5_BENCHMARKS[name]
+        base = build_qsearch_ansatz_baseline(num_qudits, depth, radix=radix)
+        _check_against_oracle(fig5_circuit(name), base, config, seed=5)

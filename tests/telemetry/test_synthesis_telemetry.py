@@ -80,10 +80,19 @@ class TestBitIdentity:
 
 class TestFiveLayerCoverage:
     def test_trace_covers_all_layers(self, tmp_path):
-        _, spans = run_ghz3(trace=True)
+        # Sequential engines run the scalar TNVM, so every layer —
+        # including its megakernel fusion — sits on the pass's path.
+        _, spans = run_ghz3(strategy="sequential", trace=True)
         categories = {s.category for s in spans}
         assert {"compile", "pathfind", "fuse", "instantiate",
                 "synthesize"} <= categories
+        # The default engines go batched at 8 starts: they never build
+        # (or fuse) the scalar VM.
+        _, default_spans = run_ghz3(trace=True)
+        default_categories = {s.category for s in default_spans}
+        assert {"compile", "pathfind", "instantiate",
+                "synthesize"} <= default_categories
+        assert "fuse" not in default_categories
         # And the export round-trips as valid Chrome trace JSON.
         path = tmp_path / "trace.json"
         telemetry.enable()

@@ -1,29 +1,37 @@
-"""Fused program backend tests.
+"""Fused megakernel tests: the scalar TNVM's one execution path.
 
-The contract under test: the fused megakernel backend is **bit
-identical** to the closure interpreter — same unitary, same gradient,
-to the last ulp — across every opcode, both precisions, with and
-without differentiation, on scalar and batched VMs; and a fused kernel
-survives pickling as source text that rehydrates with ``compile()``.
+The contracts under test, across every opcode and every forward-mode
+AD specialization path, both precisions, with and without
+differentiation:
+
+* both VM kinds compute what the bytecode means — values match a
+  dense reference interpreter of the program and gradients match its
+  central differences (the batched TNVM runs grouped closures, the
+  scalar TNVM one generated kernel, so each is checked on its own);
+* a VM rebuilt from shipped artifacts (program bytes, pickled compiled
+  expressions, pickled kernel source) is **bit identical** to the
+  original — the rehydration contract parallel synthesis relies on;
+* a fused kernel survives pickling as source text that rehydrates
+  with ``compile()``.
 """
 
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.circuit import QuditCircuit, build_qft_circuit, build_qsearch_ansatz, gates
+from repro.jit.cache import ExpressionCache
 from repro.tensornet.bytecode import BufferSpec, Instruction, Program
 from repro.tensornet.network import ParamSlot
 from repro.tnvm import (
     TNVM,
     BatchedTNVM,
     Differentiation,
-    FUSED_DIM_MAX,
     bind_fused_kernel,
-    resolve_backend,
 )
-from repro.tnvm.fused import fused_kernel_for
+from repro.tnvm.fused import attach_fused_kernel, fused_kernel_for
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +182,110 @@ def _params_for(program, seed=0):
     )
 
 
+# ----------------------------------------------------------------------
+# Independent references
+# ----------------------------------------------------------------------
+
+
+#: unsimplified per-gate writers for the reference interpreter
+_REFERENCE_CACHE = ExpressionCache()
+
+
+def _reference(program, params):
+    """The program's output by direct dense interpretation of its
+    bytecode: fresh arrays, ``np.kron``/``@``/``*``, per-gate
+    expressions evaluated standalone and unsimplified — no arena,
+    views, e-graph or megakernel."""
+    vals = {}
+    for instr in program.const_section + program.dynamic_section:
+        op = instr.opcode
+        if op == "WRITE":
+            expr = _REFERENCE_CACHE.get(
+                program.expressions[instr.expr_id], grad=False, simplify=False
+            )
+            out = expr.unitary([params[j] for j in instr.slots])
+        elif op == "TRANSPOSE":
+            out = vals[instr.a_buf].reshape(instr.shape).transpose(instr.perm)
+        else:
+            a = vals[instr.a_buf].reshape(instr.a_shape)
+            b = vals[instr.b_buf].reshape(instr.b_shape)
+            if op == "MATMUL":
+                out = a @ b
+            elif op == "KRON":
+                out = np.kron(a, b)
+            else:
+                out = a * b
+        vals[instr.out_buf] = np.ravel(out)
+    return vals[program.output_buffer].reshape(program.output_shape)
+
+
+def _reference_grad(program, params, h=1e-6):
+    params = np.asarray(params, dtype=np.float64)
+    rows = []
+    for k in range(program.num_params):
+        step = np.zeros_like(params)
+        step[k] = h
+        rows.append(
+            (_reference(program, params + step)
+             - _reference(program, params - step)) / (2 * h)
+        )
+    return np.asarray(rows).reshape(
+        (program.num_params,) + tuple(program.output_shape)
+    )
+
+
+def _tolerances(precision):
+    return (1e-12, 1e-6) if precision == "f64" else (1e-5, 1e-4)
+
+
+def _check_rows(program, precision, params, values, grads=None):
+    atol, gtol = _tolerances(precision)
+    for s, p in enumerate(params):
+        np.testing.assert_allclose(
+            values[s], _reference(program, p), atol=atol, rtol=0
+        )
+        if grads is not None:
+            np.testing.assert_allclose(
+                grads[s], _reference_grad(program, p), atol=gtol, rtol=0
+            )
+
+
+# ----------------------------------------------------------------------
+# Rehydration: rebuild a VM from shipped artifacts only
+# ----------------------------------------------------------------------
+
+
+def _shipped(program, vm):
+    """A fresh program and expression cache carrying only what a
+    serialized engine ships: program bytes and pickled compiled
+    expressions (with their batched writers)."""
+    for compiled in vm.compiled:
+        if compiled.num_params > 0:
+            _ = compiled.write_batched
+    clone = Program.from_bytes(program.to_bytes())
+    cache = ExpressionCache()
+    for compiled in pickle.loads(pickle.dumps(vm.compiled)):
+        cache.put(compiled)
+    return clone, cache
+
+
+def _rehydrated_scalar(program, precision, diff):
+    vm = TNVM(program, precision=precision, diff=diff)
+    clone, cache = _shipped(program, vm)
+    kernel = pickle.loads(pickle.dumps(vm.fused_kernel))
+    attach_fused_kernel(clone, kernel)
+    twin = TNVM(clone, precision=precision, diff=diff, cache=cache)
+    assert twin.fused_kernel is kernel  # bound, never re-fused
+    return vm, twin
+
+
+def _rehydrated_batched(program, batch, precision, diff):
+    vm = BatchedTNVM(program, batch, precision=precision, diff=diff)
+    clone, cache = _shipped(program, vm)
+    twin = BatchedTNVM(clone, batch, precision=precision, diff=diff, cache=cache)
+    return vm, twin
+
+
 class TestOpcodeCoverage:
     def test_zoo_spans_all_five_opcodes(self, programs):
         seen = {
@@ -189,34 +301,31 @@ class TestScalarEquivalence:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_grad_bit_identical(self, programs, name, precision):
         program = programs[name]
-        closures = TNVM(program, precision=precision, backend="closures")
-        fused = TNVM(program, precision=precision, backend="fused")
-        assert fused.backend == "fused" and fused.fused_kernel is not None
-        for seed in range(3):
-            p = _params_for(program, seed)
-            u1, g1 = closures.evaluate_with_grad(p)
-            u2, g2 = fused.evaluate_with_grad(p)
+        vm, twin = _rehydrated_scalar(
+            program, precision, Differentiation.GRADIENT
+        )
+        params = [_params_for(program, seed) for seed in range(3)]
+        values, grads = [], []
+        for p in params:
+            u1, g1 = map(np.copy, vm.evaluate_with_grad(p))
+            u2, g2 = twin.evaluate_with_grad(p)
             assert np.array_equal(u1, u2)
             assert np.array_equal(g1, g2)
+            values.append(u1)
+            grads.append(g1)
+        _check_rows(program, precision, params, values, grads)
 
     @pytest.mark.parametrize("name", list(PROGRAMS))
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_no_grad_bit_identical(self, programs, name, precision):
         program = programs[name]
-        closures = TNVM(
-            program,
-            precision=precision,
-            diff=Differentiation.NONE,
-            backend="closures",
-        )
-        fused = TNVM(
-            program,
-            precision=precision,
-            diff=Differentiation.NONE,
-            backend="fused",
+        vm, twin = _rehydrated_scalar(
+            program, precision, Differentiation.NONE
         )
         p = _params_for(program, 7)
-        assert np.array_equal(closures.evaluate(p), fused.evaluate(p))
+        u = np.copy(vm.evaluate(p))
+        assert np.array_equal(u, twin.evaluate(p))
+        _check_rows(program, precision, [p], [u])
 
 
 class TestBatchedEquivalence:
@@ -228,16 +337,14 @@ class TestBatchedEquivalence:
         rows = np.random.default_rng(11).uniform(
             -2 * np.pi, 2 * np.pi, (batch, program.num_params)
         )
-        closures = BatchedTNVM(
-            program, batch, precision=precision, backend="closures"
+        vm, twin = _rehydrated_batched(
+            program, batch, precision, Differentiation.GRADIENT
         )
-        fused = BatchedTNVM(
-            program, batch, precision=precision, backend="fused"
-        )
-        u1, g1 = closures.evaluate_with_grad(rows)
-        u2, g2 = fused.evaluate_with_grad(rows)
+        u1, g1 = map(np.copy, vm.evaluate_with_grad(rows))
+        u2, g2 = twin.evaluate_with_grad(rows)
         assert np.array_equal(u1, u2)
         assert np.array_equal(g1, g2)
+        _check_rows(program, precision, rows, u1, g1)
 
     @pytest.mark.parametrize("name", list(PROGRAMS))
     def test_no_grad_bit_identical(self, programs, name):
@@ -245,20 +352,20 @@ class TestBatchedEquivalence:
         rows = np.random.default_rng(13).uniform(
             -2 * np.pi, 2 * np.pi, (3, program.num_params)
         )
-        closures = BatchedTNVM(
-            program, 3, diff=Differentiation.NONE, backend="closures"
+        vm, twin = _rehydrated_batched(
+            program, 3, "f64", Differentiation.NONE
         )
-        fused = BatchedTNVM(
-            program, 3, diff=Differentiation.NONE, backend="fused"
-        )
-        assert np.array_equal(closures.evaluate(rows), fused.evaluate(rows))
+        u = np.copy(vm.evaluate(rows))
+        assert np.array_equal(u, twin.evaluate(rows))
+        _check_rows(program, "f64", rows, u)
 
     def test_batched_matches_scalar_rows(self, programs):
-        # Cross-check: each fused batch row equals the fused scalar VM.
+        # Cross-check of the two VM kinds: each batch row equals the
+        # scalar VM to rounding.
         program = programs["qsearch-2q"]
         rows = np.random.default_rng(17).uniform(-np.pi, np.pi, (4, 18))
-        scalar = TNVM(program, backend="fused")
-        batched = BatchedTNVM(program, 4, backend="fused")
+        scalar = TNVM(program)
+        batched = BatchedTNVM(program, 4)
         ub, gb = batched.evaluate_with_grad(rows)
         for s in range(4):
             us, gs = scalar.evaluate_with_grad(rows[s])
@@ -267,43 +374,40 @@ class TestBatchedEquivalence:
 
 
 class TestBackendKnob:
-    def test_resolve(self):
-        assert resolve_backend("auto", FUSED_DIM_MAX) == "fused"
-        assert resolve_backend("auto", FUSED_DIM_MAX + 1) == "closures"
-        assert resolve_backend("closures", 2) == "closures"
-        assert resolve_backend("fused", 1024) == "fused"
-        # Batched "auto" keeps the grouped-writer closure backend (its
-        # G*S-stacked WRITE dispatch already beats per-gate inlining);
-        # an explicit "fused" still forces the megakernel.
-        assert resolve_backend("auto", 2, batched=True) == "closures"
-        assert resolve_backend("fused", 2, batched=True) == "fused"
-        with pytest.raises(ValueError):
-            resolve_backend("jit", 2)
+    """Each VM kind has one execution path; no argument selects another."""
 
     def test_batched_auto_stays_on_closures(self, programs):
-        vm = BatchedTNVM(programs["qsearch-2q"], 4, backend="auto")
-        assert vm.backend == "closures"
+        program = programs["qsearch-2q"]
+        vm = BatchedTNVM(program, 4)
+        assert not hasattr(vm, "fused_kernel")
+        # Same-expression WRITEs collapse into one grouped closure each.
+        writes = [i for i in program.dynamic_section if i.opcode == "WRITE"]
+        assert len(vm._dynamic) < len(program.dynamic_section)
+        assert len(writes) > len({i.expr_id for i in writes})
 
     def test_vm_rejects_unknown_backend(self, programs):
-        with pytest.raises(ValueError):
-            TNVM(programs["single-gate"], backend="nope")
-        with pytest.raises(ValueError):
-            BatchedTNVM(programs["single-gate"], 2, backend="nope")
+        for vm_type in (TNVM, BatchedTNVM):
+            assert "backend" not in inspect.signature(vm_type).parameters
+        with pytest.raises(TypeError):
+            TNVM(programs["single-gate"], **{"backend": "closures"})
 
-    def test_auto_picks_fused_for_small_dims(self, programs):
-        vm = TNVM(programs["qsearch-3q"], backend="auto")
-        assert vm.backend == "fused"
+    def test_auto_picks_fused_for_small_dims(self):
+        # ...and for every larger one: the scalar VM always fuses.
+        for radices in ([2, 2], [3, 3], [2, 2, 2, 2], [3, 3, 3]):
+            circuit = build_qsearch_ansatz(len(radices), 1, radices[0])
+            vm = TNVM(circuit.compile())
+            assert vm.fused_kernel.num_instructions == len(
+                vm.program.dynamic_section
+            )
 
-    def test_closures_vm_has_no_kernel(self, programs):
-        vm = TNVM(programs["qsearch-2q"], backend="closures")
-        assert vm.fused_kernel is None
-        assert len(vm._dynamic) == len(
-            programs["qsearch-2q"].dynamic_section
-        )
+    def test_closures_vm_has_no_kernel(self):
+        program = PROGRAMS["hadamard-overlap"]()
+        vm = BatchedTNVM(program, 2)
+        assert not hasattr(vm, "fused_kernel")
+        assert "_fused_kernels" not in program.__dict__
 
     def test_fused_vm_single_dispatch(self, programs):
-        vm = TNVM(programs["qsearch-2q"], backend="fused")
-        assert len(vm._dynamic) == 1
+        vm = TNVM(programs["qsearch-2q"])
         kernel = vm.fused_kernel
         assert kernel.num_instructions == len(
             programs["qsearch-2q"].dynamic_section
@@ -314,17 +418,16 @@ class TestBackendKnob:
 class TestKernelCachingAndSerialization:
     def test_kernel_cached_per_program(self, programs):
         program = PROGRAMS["qsearch-2q"]()
-        vm1 = TNVM(program, backend="fused")
-        vm2 = TNVM(program, backend="fused")
+        vm1 = TNVM(program)
+        vm2 = TNVM(program, precision="f32")
         assert vm1.fused_kernel is vm2.fused_kernel  # one generation
-        b1 = BatchedTNVM(program, 2, backend="fused")
-        b2 = BatchedTNVM(program, 3, backend="fused")
-        assert b1.fused_kernel is b2.fused_kernel  # batch-size agnostic
-        assert b1.fused_kernel is not vm1.fused_kernel
+        nograd = TNVM(program, diff=Differentiation.NONE)
+        assert nograd.fused_kernel is not vm1.fused_kernel
+        assert not nograd.fused_kernel.grad
 
     def test_kernel_pickle_round_trip_rebinds(self, programs):
         program = programs["qsearch-2q"]
-        vm = TNVM(program, backend="fused")
+        vm = TNVM(program)
         clone_kernel = pickle.loads(pickle.dumps(vm.fused_kernel))
         assert clone_kernel.source == vm.fused_kernel.source
         run = bind_fused_kernel(clone_kernel, vm.plan)
@@ -342,8 +445,20 @@ class TestKernelCachingAndSerialization:
         # ship explicitly with SerializedEngine instead.
         program = PROGRAMS["qsearch-2q"]()
         bare = len(program.to_bytes())
-        vm = TNVM(program, backend="fused")
-        fused_kernel_for(program, vm.compiled, grad=True, batched=True)
+        vm = TNVM(program)
+        fused_kernel_for(program, vm.compiled, grad=False)
         assert len(program.to_bytes()) == bare
         clone = Program.from_bytes(program.to_bytes())
         assert "_fused_kernels" not in clone.__dict__
+
+    def test_constant_section_runs_once_at_bind(self, programs):
+        program = programs["constant"]
+        assert program.const_section and not program.dynamic_section
+        vm = TNVM(program, diff=Differentiation.NONE)
+        expected = np.copy(vm.evaluate(()))
+        vm.plan.value_arena[:] = 0  # a sweep must not rewrite constants
+        assert not np.any(vm.evaluate(()))
+        run = bind_fused_kernel(vm.fused_kernel, vm.plan)
+        assert np.array_equal(vm.evaluate(()), expected)
+        run(())
+        assert np.array_equal(vm.evaluate(()), expected)
