@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TypeVar
@@ -500,7 +501,7 @@ def run_mutation_corpus(
         )
         for i, subject in subjects:
             rng = np.random.default_rng(
-                [seed, hash(cls.name) & 0x7FFFFFFF, i]
+                [seed, zlib.crc32(cls.name.encode()), i]
             )
             try:
                 if cls.kind == "program":

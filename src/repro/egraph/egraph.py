@@ -38,7 +38,10 @@ class EClass:
 
     def __init__(self, cid: int):
         self.id = cid
-        self.nodes: set[ENode] = set()
+        # A dict used as an insertion-ordered set: iteration order must
+        # not depend on per-process hash salts (``hash(None)``, ``str``
+        # hashes), or extraction tie-breaks differ between processes.
+        self.nodes: dict[ENode, None] = {}
         # (parent enode as last canonicalized, parent class id)
         self.parents: list[tuple[ENode, int]] = []
         self.const: float | None = None
@@ -90,7 +93,7 @@ class EGraph:
         if existing is not None:
             return self.find(existing)
         cls = self._new_class()
-        cls.nodes.add(node)
+        cls.nodes[node] = None
         self.memo[node] = cls.id
         for child in node[2]:
             self.classes[self.find(child)].parents.append((node, cls.id))
@@ -166,7 +169,7 @@ class EGraph:
         cls = self.classes.get(self.find(cid))
         if cls is not None:
             cls.parents = [(n, self.find(c)) for n, c in new_parents.items()]
-            cls.nodes = {self.canonicalize(n) for n in cls.nodes}
+            cls.nodes = dict.fromkeys(self.canonicalize(n) for n in cls.nodes)
 
     # ------------------------------------------------------------------
     # Constant folding analysis
@@ -236,7 +239,7 @@ class EGraph:
             if root != cls.id:
                 self.union(root, cls.id)
             return
-        cls.nodes.add(node)
+        cls.nodes[node] = None
         self.memo[node] = cls.id
 
     # ------------------------------------------------------------------

@@ -7,7 +7,11 @@ Patterns are written as s-expressions; ``?x`` is a pattern variable::
 
 Matching is the standard backtracking e-matching procedure: a pattern
 node matches an e-class if any e-node in the class has the same operator
-and every child pattern matches the corresponding child class.
+and every child pattern matches the corresponding child class.  Like
+egg's e-class operator index, the search runs over a :class:`MatchIndex`
+snapshot of a frozen graph, so a rule visits only the classes that hold
+its root operator and each pattern node scans only e-nodes of its own
+operator.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from dataclasses import dataclass
 
 from .egraph import EGraph
 
-__all__ = ["Pattern", "PatVar", "PatNode", "parse_pattern", "Rewrite"]
+__all__ = [
+    "Pattern", "PatVar", "PatNode", "parse_pattern", "MatchIndex", "Rewrite",
+]
 
 
 @dataclass(frozen=True)
@@ -76,54 +82,73 @@ def parse_pattern(text: str) -> Pattern:
     return result
 
 
+class MatchIndex:
+    """Operator index over a frozen e-graph, for one round of searches.
+
+    ``classes[op]`` lists the canonical e-class ids holding an ``op``
+    e-node and ``nodes[cid][op]`` that class's ``op`` e-nodes as
+    ``(payload, canonical children)``, both in the graph's own iteration
+    order, so indexed matching returns the same matches in the same
+    order as scanning every node.  The index is stale once the graph
+    changes; build a new one after ``rebuild``.
+    """
+
+    __slots__ = ("classes", "nodes")
+
+    def __init__(self, egraph: EGraph):
+        find = egraph.find
+        self.classes: dict[str, list[int]] = {}
+        self.nodes: dict[int, dict[str, list[tuple]]] = {}
+        for cid, cls in egraph.classes.items():
+            by_op: dict[str, list[tuple]] = {}
+            for op, payload, children in cls.nodes:
+                by_op.setdefault(op, []).append(
+                    (payload, tuple(find(c) for c in children))
+                )
+            self.nodes[cid] = by_op
+            for op in by_op:
+                self.classes.setdefault(op, []).append(cid)
+
+
 def match_in_class(
     egraph: EGraph, pattern: Pattern, cid: int,
     limit: int | None = None,
 ) -> list[dict[str, int]]:
     """All substitutions under which ``pattern`` matches e-class ``cid``."""
     results: list[dict[str, int]] = []
-    _match(egraph, pattern, egraph.find(cid), {}, results, limit)
+    _match(MatchIndex(egraph), pattern, egraph.find(cid), {}, results, limit)
     return results
 
 
 def _match(
-    egraph: EGraph,
+    index: MatchIndex,
     pattern: Pattern,
     cid: int,
     subst: dict[str, int],
     out: list[dict[str, int]],
     limit: int | None,
 ) -> None:
+    # Substitutions are never mutated once built, so a match that binds
+    # nothing new shares its dict with ``subst`` instead of copying it.
     if limit is not None and len(out) >= limit:
         return
     if isinstance(pattern, PatVar):
         bound = subst.get(pattern.name)
         if bound is None:
-            new = dict(subst)
-            new[pattern.name] = cid
-            out.append(new)
-        elif egraph.find(bound) == cid:
-            out.append(dict(subst))
+            out.append({**subst, pattern.name: cid})
+        elif bound == cid:
+            out.append(subst)
         return
-    cls = egraph.classes.get(cid)
-    if cls is None:
-        return
-    for node in list(cls.nodes):
-        op, payload, children = node
-        if op != pattern.op:
-            continue
+    for payload, children in index.nodes[cid].get(pattern.op, ()):
         if pattern.op in ("const", "var") and payload != pattern.payload:
             continue
         if len(children) != len(pattern.children):
             continue
-        partials = [dict(subst)]
+        partials = [subst]
         for pat_child, child_cid in zip(pattern.children, children):
             next_partials: list[dict[str, int]] = []
             for p in partials:
-                _match(
-                    egraph, pat_child, egraph.find(child_cid),
-                    p, next_partials, limit,
-                )
+                _match(index, pat_child, child_cid, p, next_partials, limit)
             partials = next_partials
             if not partials:
                 break
@@ -155,18 +180,25 @@ class Rewrite:
         self.rhs = parse_pattern(rhs) if isinstance(rhs, str) else rhs
 
     def search(
-        self, egraph: EGraph, limit_per_class: int = 32
+        self, egraph: EGraph, limit_per_class: int = 32,
+        index: MatchIndex | None = None,
     ) -> list[tuple[int, dict[str, int]]]:
-        """Find (matched class id, substitution) pairs across the graph."""
+        """Find (matched class id, substitution) pairs across the graph.
+
+        Pass the round's shared ``index`` when searching many rules
+        against one frozen graph; without one, an index is built here.
+        """
+        if index is None:
+            index = MatchIndex(egraph)
+        if isinstance(self.lhs, PatVar):
+            candidates = list(index.nodes)
+        else:
+            candidates = index.classes.get(self.lhs.op, [])
         found: list[tuple[int, dict[str, int]]] = []
-        for cls in egraph.eclasses():
-            cid = egraph.find(cls.id)
-            if cid != cls.id:
-                continue
-            for subst in match_in_class(
-                egraph, self.lhs, cid, limit_per_class
-            ):
-                found.append((cid, subst))
+        for cid in candidates:
+            matches: list[dict[str, int]] = []
+            _match(index, self.lhs, cid, {}, matches, limit_per_class)
+            found.extend((cid, subst) for subst in matches)
         return found
 
     def apply(

@@ -14,7 +14,7 @@ from ..symbolic.expr import Expr
 from .cost import expression_cost
 from .egraph import EGraph
 from .extract import GreedyExtractor
-from .pattern import Rewrite
+from .pattern import MatchIndex, Rewrite
 from .rules import default_rules
 
 __all__ = ["RunnerLimits", "RunnerReport", "Runner", "simplify_all", "simplify"]
@@ -61,10 +61,12 @@ class Runner:
             unions_before = egraph.num_unions
 
             # Search-then-apply: collect all matches against a frozen
-            # graph, then apply, then rebuild once.
+            # graph, then apply, then rebuild once.  The graph does not
+            # change while searching, so every rule shares one index.
+            index = MatchIndex(egraph)
             all_matches = []
             for rule in self.rules:
-                matches = rule.search(egraph)
+                matches = rule.search(egraph, index=index)
                 if len(matches) > self.limits.matches_per_rule:
                     matches = matches[: self.limits.matches_per_rule]
                 if matches:

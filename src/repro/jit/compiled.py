@@ -6,10 +6,114 @@ import numpy as np
 
 from .. import telemetry
 from ..egraph.runner import RunnerLimits, simplify_all
+from ..symbolic import expr as E
 from ..symbolic.matrix import ExpressionMatrix
 from .codegen import CodegenResult, compile_source, compile_writer
 
-__all__ = ["CompiledExpression"]
+__all__ = ["CompiledExpression", "GateRoots", "element_keys", "element_order"]
+
+
+def element_keys(matrix: ExpressionMatrix) -> list[tuple[str, str]]:
+    """Alpha-renamed ``(re, im)`` s-expressions of each element, row-major.
+
+    Parameters are renamed by position, so gates that differ only in
+    parameter names (or object identity) produce the same keys.
+    """
+    rename = {p: f"_p{k}" for k, p in enumerate(matrix.params)}
+    keys = []
+    for _, elem in matrix.elements():
+        renamed = elem.rename_variables(rename)
+        keys.append((E.to_sexpr(renamed.re), E.to_sexpr(renamed.im)))
+    return keys
+
+
+def element_order(keys: list[tuple[str, str]]) -> list[int]:
+    """The canonical element order: row-major indices sorted by key length,
+    then by key.
+
+    Every layout of one gate (a permutation of its elements) has the
+    same key multiset, so it lists the gate's elements in the same
+    canonical order.  Shorter elements sort first: the greedy extractor
+    zeroes the cost of what it has extracted, so extracting ``e^(iλ)``
+    and ``e^(iϕ)`` before ``e^(i(ϕ+λ))`` lets the latter reuse them as
+    one product (paper section III-C); a plain lexicographic order puts
+    U3's ``(1, 1)`` element first and costs it two extra trig calls.
+    """
+    return sorted(
+        range(len(keys)),
+        key=lambda i: (len(keys[i][0]) + len(keys[i][1]), keys[i]),
+    )
+
+
+class GateRoots:
+    """A gate's joint e-graph root list, independent of its layout.
+
+    ``roots`` holds ``re, im`` of every element in canonical element
+    order, then the same for each parameter's gradient.  The roots are
+    built and simplified once per gate; each layout then gathers its
+    entries through its own :func:`element_order`, so a permuted layout
+    (leaf fusion's ``.perm``) only pays code generation.
+    """
+
+    __slots__ = ("params", "roots", "has_grad")
+
+    def __init__(
+        self,
+        matrix: ExpressionMatrix,
+        order: list[int],
+        grad: bool = True,
+        simplify: bool = True,
+        limits: RunnerLimits | None = None,
+    ):
+        grads = matrix.gradient() if grad else []
+        roots = []
+        for mat in [matrix, *grads]:
+            elems = [elem for _, elem in mat.elements()]
+            for i in order:
+                roots.append(elems[i].re)
+                roots.append(elems[i].im)
+        if simplify:
+            # One e-graph holds every component of the unitary and its
+            # gradient; the greedy extractor's zero-cost CSE works
+            # across the whole batch.
+            with telemetry.tracer().span(
+                "egraph.simplify", category="compile",
+                expr=matrix.name, roots=len(roots),
+            ):
+                roots = simplify_all(roots, limits=limits)
+            telemetry.metrics().counter("compile.egraph_runs").add()
+        self.params = matrix.params
+        self.roots = roots
+        self.has_grad = bool(grads)
+
+    def entries(self, matrix: ExpressionMatrix, order: list[int]) -> tuple:
+        """The ``(unitary_entries, grad_entries)`` of one layout.
+
+        ``matrix`` is a layout of this gate and ``order`` its canonical
+        element order; entries come out in the layout's row-major order.
+        """
+        roots = self.roots
+        if matrix.params != self.params:
+            rename = dict(zip(self.params, matrix.params))
+            roots = [E.rename_variables(root, rename) for root in roots]
+        # offset[f]: where row-major element f's ``re`` sits in a block.
+        offset = [0] * len(order)
+        for r, f in enumerate(order):
+            offset[f] = 2 * r
+        positions = [idx for idx, _ in matrix.elements()]
+        unitary_entries = [
+            (idx, roots[offset[f]], roots[offset[f] + 1])
+            for f, idx in enumerate(positions)
+        ]
+        grad_entries = []
+        if self.has_grad:
+            for k in range(len(self.params)):
+                base = 2 * len(order) * (k + 1)
+                grad_entries.extend(
+                    ((k, *idx), roots[base + offset[f]], roots[base + offset[f] + 1])
+                    for f, idx in enumerate(positions)
+                )
+        return unitary_entries, grad_entries
 
 
 class CompiledExpression:
@@ -22,6 +126,10 @@ class CompiledExpression:
     2. a joint e-graph simplification pass over every real/imaginary
        component of the unitary and gradient (if ``simplify=True``),
     3. code generation and compilation of the specialized writers.
+
+    Steps 1 and 2 produce a :class:`GateRoots`; pass ``gate`` (built
+    from another layout of the same gate, with the same flags) to skip
+    them.  ``order`` is ``matrix``'s :func:`element_order`.
 
     The compiled object is immutable and safe to share: the TNVM of
     every circuit referencing the same gate reuses one instance through
@@ -47,6 +155,9 @@ class CompiledExpression:
         grad: bool = True,
         simplify: bool = True,
         limits: RunnerLimits | None = None,
+        *,
+        order: list[int] | None = None,
+        gate: GateRoots | None = None,
     ):
         self.matrix = matrix
         self.shape = matrix.shape
@@ -54,39 +165,14 @@ class CompiledExpression:
         self.num_params = matrix.num_params
         self.name = matrix.name
 
-        grads = matrix.gradient() if grad else []
-        self._has_grad = bool(grads)
-
-        # Collect every scalar component in deterministic order; the
-        # greedy extractor's zero-cost CSE works across this whole batch.
-        roots = []
-        u_slots = []
-        for (i, j), elem in matrix.elements():
-            u_slots.append(((i, j), len(roots)))
-            roots.append(elem.re)
-            roots.append(elem.im)
-        g_slots = []
-        for k, gmat in enumerate(grads):
-            for (i, j), elem in gmat.elements():
-                g_slots.append(((k, i, j), len(roots)))
-                roots.append(elem.re)
-                roots.append(elem.im)
-
-        if simplify:
-            with telemetry.tracer().span(
-                "egraph.simplify", category="compile",
-                expr=matrix.name, roots=len(roots),
-            ):
-                roots = simplify_all(roots, limits=limits)
-            telemetry.metrics().counter("compile.egraph_runs").add()
+        if order is None:
+            order = element_order(element_keys(matrix))
+        if gate is None:
+            gate = GateRoots(matrix, order, grad, simplify, limits)
+        self._has_grad = gate.has_grad
         self.simplified = simplify
 
-        unitary_entries = [
-            (slot, roots[base], roots[base + 1]) for slot, base in u_slots
-        ]
-        grad_entries = [
-            (slot, roots[base], roots[base + 1]) for slot, base in g_slots
-        ]
+        unitary_entries, grad_entries = gate.entries(matrix, order)
         func_name = _sanitize(matrix.name) or "expr"
         self._result: CodegenResult = compile_writer(
             unitary_entries, grad_entries, matrix.params, func_name

@@ -1,5 +1,10 @@
 """CompiledExpression correctness across the whole gate library."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,3 +93,37 @@ class TestErrors:
         compiled = CompiledExpression(gates.u3().matrix)
         with pytest.raises(ValueError):
             compiled.unitary((0.5,))
+
+
+_COMPILE_U2 = """
+import hashlib
+import numpy as np
+from repro.circuit import gates
+from repro.jit.compiled import CompiledExpression
+from repro.symbolic import expr as E
+
+compiled = CompiledExpression(gates.u2().matrix)
+u_entries, g_entries = compiled.entries
+for slot, re, im in u_entries + g_entries:
+    print(slot, E.to_sexpr(re), E.to_sexpr(im))
+u, grad = compiled.unitary_and_grad((0.3, -1.1))
+print(hashlib.sha256(u.tobytes() + grad.tobytes()).hexdigest())
+"""
+
+
+def test_extraction_is_deterministic_across_hash_seeds():
+    """String hashes are salted per process (and ``hash(None)`` comes
+    from an address), so nothing in simplification may iterate a set of
+    e-nodes: U2's extracted forms and values must be bitwise equal in
+    processes with different hash seeds."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMPILE_U2],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
